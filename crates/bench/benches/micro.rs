@@ -9,10 +9,10 @@ use dta_core::hash::{AddressMapping, CrcMapping, Mix64Mapping};
 use dta_rdma::verbs::RemoteEndpoint;
 use dta_switch::egress::{DartEgress, EgressConfig};
 use dta_switch::SwitchIdentity;
-use dta_wire::crc::Crc32;
+use dta_wire::crc;
 use dta_wire::dart::{ChecksumWidth, SlotLayout};
-use dta_wire::roce::Psn;
-use dta_wire::{ethernet, ipv4};
+use dta_wire::roce::{self, Psn};
+use dta_wire::{ethernet, ipv4, udp};
 
 fn bench_hashing(c: &mut Criterion) {
     let key = [0xABu8; 13];
@@ -33,12 +33,32 @@ fn bench_hashing(c: &mut Criterion) {
 }
 
 fn bench_icrc(c: &mut Criterion) {
-    let engine = Crc32::ieee();
     let payload = [0x5Au8; 88]; // a DART report frame's worth
     let mut group = c.benchmark_group("micro/crc32");
     group.throughput(Throughput::Bytes(88));
     group.bench_function("crc32_88B", |b| {
-        b.iter(|| black_box(engine.checksum(black_box(&payload))))
+        b.iter(|| black_box(crc::IEEE.checksum(black_box(&payload))))
+    });
+
+    // The full per-frame iCRC, called the way the deparser and the NIC
+    // call it, on a real Key-Write report frame.
+    let frame = keywrite_egress()
+        .craft_report(&[0xABu8; 13], &[7u8; 20])
+        .unwrap()
+        .frame;
+    let ip = ethernet::HEADER_LEN;
+    let udp_start = ip + ipv4::HEADER_LEN;
+    let ib = udp_start + udp::HEADER_LEN;
+    let ib_end = frame.len() - roce::ICRC_LEN;
+    group.throughput(Throughput::Bytes((ib_end - ip) as u64));
+    group.bench_function("icrc_frame", |b| {
+        b.iter(|| {
+            black_box(roce::icrc::compute(
+                black_box(&frame[ip..udp_start]),
+                black_box(&frame[udp_start..ib]),
+                black_box(&frame[ib..ib_end]),
+            ))
+        })
     });
     group.finish();
 }
@@ -61,7 +81,8 @@ fn bench_slot_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_report_crafting(c: &mut Criterion) {
+/// A Key-Write egress (N = 2, 64k slots) with one collector installed.
+fn keywrite_egress() -> DartEgress {
     let mut egress = DartEgress::new(
         SwitchIdentity::derived(1),
         EgressConfig {
@@ -92,7 +113,11 @@ fn bench_report_crafting(c: &mut Criterion) {
             },
         )
         .unwrap();
+    egress
+}
 
+fn bench_report_crafting(c: &mut Criterion) {
+    let mut egress = keywrite_egress();
     let key = [0xABu8; 13];
     let value = [7u8; 20];
     let mut group = c.benchmark_group("micro/switch");

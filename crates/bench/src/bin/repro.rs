@@ -52,7 +52,7 @@ fn render(target: &str, scale: Scale, seed: u64, out_dir: Option<&PathBuf>) -> O
             out.push_str(&theory::theory_table(&grid));
         }
         "e2e" => {
-            let slots = (1u64 << 13) * scale.0;
+            let slots = e2e::BENCH_SLOTS * scale.0;
             let bench = e2e::run_bench(slots, seed);
             out.push_str(&e2e::e2e_table(&bench.points));
             out.push_str(&e2e::primitive_table(&bench.matrix));
@@ -119,13 +119,13 @@ fn main() {
         }
     }
 
-    let seed = 0xDA27_2021u64;
+    let seed = e2e::BENCH_SEED;
     if let Some(baseline_path) = check {
         let baseline = fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
             eprintln!("cannot read {}: {e}", baseline_path.display());
             std::process::exit(1);
         });
-        let slots = (1u64 << 13) * scale.0;
+        let slots = e2e::BENCH_SLOTS * scale.0;
         let bench = e2e::run_bench(slots, seed);
         match e2e::diff_baseline(&bench, &baseline) {
             Err(e) => {

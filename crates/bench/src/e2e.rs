@@ -264,6 +264,12 @@ pub struct E2eBench {
     pub obs: Obs,
 }
 
+/// Seed of the checked-in `BENCH_e2e.json` baseline (`repro e2e`).
+pub const BENCH_SEED: u64 = 0xDA27_2021;
+
+/// Slots per collector of the baseline at `--scale 1`.
+pub const BENCH_SLOTS: u64 = 1 << 13;
+
 /// Run the standard sweep with a shared live registry and measure
 /// wall-clock throughput.
 pub fn run_bench(slots: u64, seed: u64) -> E2eBench {

@@ -20,7 +20,7 @@
 //! Both implement [`AddressMapping`]; every component is generic over it,
 //! and writer and reader must simply agree (they share one config).
 
-use dta_wire::crc::{Crc16, Crc32};
+use dta_wire::crc::{self, Crc16, Crc32};
 
 /// Domain-separation prefixes fed to the CRC extern ahead of the key.
 mod domain {
@@ -61,24 +61,20 @@ pub trait AddressMapping: Send + Sync {
 /// byte; `N ≤ 4` (the paper's range) is fully independent.
 #[derive(Debug, Clone)]
 pub struct CrcMapping {
-    addr: [Crc32; 4],
-    sum: Crc32,
-    coll: Crc16,
+    addr: [&'static Crc32; 4],
+    sum: &'static Crc32,
+    coll: &'static Crc16,
 }
 
 impl CrcMapping {
     /// Build the mapping: four CRC-32 address units (one polynomial per
     /// copy), CRC-32 (IEEE) for checksums, CRC-16 for collector choice.
-    pub fn new() -> Self {
+    /// The units are shared static engines, so building one is free.
+    pub const fn new() -> Self {
         CrcMapping {
-            addr: [
-                Crc32::castagnoli(),
-                Crc32::koopman(),
-                Crc32::q(),
-                Crc32::ieee(),
-            ],
-            sum: Crc32::ieee(),
-            coll: Crc16::arc(),
+            addr: [&crc::CASTAGNOLI, &crc::KOOPMAN, &crc::Q, &crc::IEEE],
+            sum: &crc::IEEE,
+            coll: &crc::ARC,
         }
     }
 }
@@ -92,27 +88,25 @@ impl Default for CrcMapping {
 impl AddressMapping for CrcMapping {
     fn collector(&self, key: &[u8], collectors: u32) -> u32 {
         debug_assert!(collectors >= 1);
-        let mut buf = Vec::with_capacity(1 + key.len());
-        buf.push(domain::COLLECTOR);
-        buf.extend_from_slice(key);
-        u32::from(self.coll.checksum(&buf)) % collectors
+        let mut d = self.coll.digest();
+        d.update(&[domain::COLLECTOR]);
+        d.update(key);
+        u32::from(d.finalize()) % collectors
     }
 
     fn slot(&self, key: &[u8], copy: u8, slots: u64) -> u64 {
         debug_assert!(slots >= 1);
-        let mut buf = Vec::with_capacity(2 + key.len());
-        buf.push(domain::ADDRESS);
-        buf.push(copy);
-        buf.extend_from_slice(key);
-        let unit = &self.addr[usize::from(copy) % 4];
-        u64::from(unit.checksum(&buf)) % slots
+        let mut d = self.addr[usize::from(copy) % 4].digest();
+        d.update(&[domain::ADDRESS, copy]);
+        d.update(key);
+        u64::from(d.finalize()) % slots
     }
 
     fn key_checksum(&self, key: &[u8]) -> u32 {
-        let mut buf = Vec::with_capacity(1 + key.len());
-        buf.push(domain::CHECKSUM);
-        buf.extend_from_slice(key);
-        self.sum.checksum(&buf)
+        let mut d = self.sum.digest();
+        d.update(&[domain::CHECKSUM]);
+        d.update(key);
+        d.finalize()
     }
 }
 
@@ -436,6 +430,58 @@ mod tests {
 
     fn mappings() -> Vec<Box<dyn AddressMapping>> {
         vec![Box::new(CrcMapping::new()), Box::new(Mix64Mapping::new(42))]
+    }
+
+    /// Pinned `CrcMapping` outputs on fixed 13-byte keys. Every switch
+    /// and every operator must agree on these bit for bit, so any change
+    /// to the CRC engines or the domain prefixes shows up here.
+    #[test]
+    fn crc_mapping_golden_values() {
+        struct Golden {
+            key: [u8; 13],
+            /// For 1, 4 and 64 collectors.
+            collector: [u32; 3],
+            /// Copies 0..=4 over 2^32 slots, i.e. the raw CRC-32.
+            slot: [u64; 5],
+            /// Copies 0..=4 over a prime slot count.
+            slot_prime: [u64; 5],
+            checksum: u32,
+        }
+        let goldens = [
+            Golden {
+                key: [0; 13],
+                collector: [0, 0, 0],
+                slot: [0xb000b2df, 0x379b5304, 0x520f93c5, 0x6df0e819, 0xe5f19136],
+                slot_prime: [826_951, 923_416, 748_453, 499_069, 802_243],
+                checksum: 0xdc45_2377,
+            },
+            Golden {
+                key: [10, 0, 0, 1, 10, 0, 0, 2, 0x30, 0x39, 0x00, 0x50, 6],
+                collector: [0, 2, 6],
+                slot: [0x7058ec5d, 0x31555069, 0x61fd602f, 0x1f513958, 0x25a9cfb4],
+                slot_prime: [870_217, 672_248, 990_254, 415_217, 883_855],
+                checksum: 0xaee4_f236,
+            },
+            Golden {
+                key: *b"dart-telemetr",
+                collector: [0, 0, 12],
+                slot: [0x90ce831a, 0xcd3c4f5c, 0xd2213bc1, 0x97679251, 0xc53fa0f3],
+                slot_prime: [445_795, 271_427, 382_770, 139_661, 271_596],
+                checksum: 0x26d2_593f,
+            },
+        ];
+        let m = CrcMapping::new();
+        for g in &goldens {
+            for (&n, &want) in [1u32, 4, 64].iter().zip(&g.collector) {
+                assert_eq!(m.collector(&g.key, n), want, "collector({:?}, {n})", g.key);
+            }
+            for copy in 0..=4u8 {
+                let i = usize::from(copy);
+                assert_eq!(m.slot(&g.key, copy, 1 << 32), g.slot[i], "slot copy {copy}");
+                assert_eq!(m.slot(&g.key, copy, 1_000_003), g.slot_prime[i]);
+            }
+            assert_eq!(m.key_checksum(&g.key), g.checksum);
+        }
     }
 
     #[test]

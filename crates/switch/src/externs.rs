@@ -11,7 +11,7 @@
 //!   stores one RoCEv2 PSN counter per collector (~20 B of SRAM per
 //!   collector including the lookup-table entry).
 
-use dta_wire::crc::{Crc16, Crc32};
+use dta_wire::crc::{self, Crc16, Crc32};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,23 +26,22 @@ pub enum CrcPoly {
     Crc32C,
 }
 
-/// A configured CRC extern instance.
+/// A configured CRC extern instance, bound to a shared static engine.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // CRC tables are large by nature; externs are few
 pub enum CrcExtern {
     /// 16-bit engine.
-    C16(Crc16),
+    C16(&'static Crc16),
     /// 32-bit engine.
-    C32(Crc32),
+    C32(&'static Crc32),
 }
 
 impl CrcExtern {
     /// Instantiate for a polynomial.
     pub fn new(poly: CrcPoly) -> CrcExtern {
         match poly {
-            CrcPoly::Crc16Arc => CrcExtern::C16(Crc16::arc()),
-            CrcPoly::Crc32Ieee => CrcExtern::C32(Crc32::ieee()),
-            CrcPoly::Crc32C => CrcExtern::C32(Crc32::castagnoli()),
+            CrcPoly::Crc16Arc => CrcExtern::C16(&crc::ARC),
+            CrcPoly::Crc32Ieee => CrcExtern::C32(&crc::IEEE),
+            CrcPoly::Crc32C => CrcExtern::C32(&crc::CASTAGNOLI),
         }
     }
 

@@ -10,10 +10,14 @@
 //!   packet, computed with the Ethernet polynomial over the packet with
 //!   variant fields masked (see [`crate::roce::icrc`]).
 //!
-//! All engines are reflected (LSB-first) implementations with a lazily
-//! built 256-entry lookup table, matching the behaviour of the common
-//! `CRC-32` (poly `0x04C11DB7`, reflected `0xEDB88320`) and `CRC-16/ARC`
-//! (poly `0x8005`, reflected `0xA001`) definitions.
+//! All engines are reflected (LSB-first) and table-driven, matching the
+//! behaviour of the common `CRC-32` (poly `0x04C11DB7`, reflected
+//! `0xEDB88320`) and `CRC-16/ARC` (poly `0x8005`, reflected `0xA001`)
+//! definitions. Tables are built by `const fn`, and every polynomial the
+//! system uses is a `static` engine built at compile time, so no hot path
+//! ever builds a table. [`Crc32`] runs slice-by-8 (eight 256-entry tables,
+//! eight input bytes per step); [`Crc16`] only hashes short keys and keeps
+//! a single table.
 
 /// Reflected polynomial of the IEEE 802.3 CRC-32 (used by RoCEv2 iCRC).
 pub const CRC32_IEEE: u32 = 0xEDB8_8320;
@@ -29,64 +33,78 @@ pub const CRC16_ARC: u16 = 0xA001;
 /// Reflected polynomial of CRC-16/CCITT (KERMIT).
 pub const CRC16_CCITT: u16 = 0x8408;
 
-/// A reflected, table-driven 32-bit CRC engine.
+/// The IEEE 802.3 CRC-32 (`init = xorout = 0xFFFFFFFF`), as required by
+/// the RoCEv2 iCRC.
+pub static IEEE: Crc32 = Crc32::new(CRC32_IEEE, 0xFFFF_FFFF, 0xFFFF_FFFF);
+/// CRC-32C (Castagnoli).
+pub static CASTAGNOLI: Crc32 = Crc32::new(CRC32_CASTAGNOLI, 0xFFFF_FFFF, 0xFFFF_FFFF);
+/// CRC-32K (Koopman).
+pub static KOOPMAN: Crc32 = Crc32::new(CRC32_KOOPMAN, 0xFFFF_FFFF, 0xFFFF_FFFF);
+/// CRC-32Q.
+pub static Q: Crc32 = Crc32::new(CRC32_Q, 0xFFFF_FFFF, 0xFFFF_FFFF);
+/// CRC-16/ARC (`init = 0`, `xorout = 0`).
+pub static ARC: Crc16 = Crc16::new(CRC16_ARC, 0, 0);
+/// CRC-16/KERMIT (CCITT, `init = 0`, `xorout = 0`).
+pub static KERMIT: Crc16 = Crc16::new(CRC16_CCITT, 0, 0);
+
+/// A reflected 32-bit CRC engine with slice-by-8 lookup tables.
+///
+/// `tables[0]` is the classic byte-at-a-time table; `tables[k][b]` is the
+/// CRC contribution of byte `b` followed by `k` zero bytes, which lets
+/// [`Digest32::update`] fold eight input bytes per step.
 ///
 /// ```
-/// use dta_wire::crc::Crc32;
+/// use dta_wire::crc;
 /// // CRC-32 of "123456789" is the classic check value 0xCBF43926.
-/// assert_eq!(Crc32::ieee().checksum(b"123456789"), 0xCBF43926);
+/// assert_eq!(crc::IEEE.checksum(b"123456789"), 0xCBF43926);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Crc32 {
-    table: [u32; 256],
+    tables: [[u32; 256]; 8],
     init: u32,
     xorout: u32,
 }
 
 impl Crc32 {
-    /// Build an engine for an arbitrary reflected polynomial.
-    pub fn new(poly_reflected: u32, init: u32, xorout: u32) -> Self {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+    /// Build an engine for an arbitrary reflected polynomial. The tables
+    /// are 8 KiB, so the common polynomials are shared statics ([`IEEE`],
+    /// [`CASTAGNOLI`], [`KOOPMAN`], [`Q`]) built at compile time.
+    pub const fn new(poly_reflected: u32, init: u32, xorout: u32) -> Self {
+        let mut tables = [[0u32; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
             let mut crc = i as u32;
-            for _ in 0..8 {
+            let mut bit = 0;
+            while bit < 8 {
                 crc = if crc & 1 != 0 {
                     (crc >> 1) ^ poly_reflected
                 } else {
                     crc >> 1
                 };
+                bit += 1;
             }
-            *entry = crc;
+            tables[0][i] = crc;
+            i += 1;
+        }
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            k += 1;
         }
         Crc32 {
-            table,
+            tables,
             init,
             xorout,
         }
     }
 
-    /// The IEEE 802.3 CRC-32 (`init = xorout = 0xFFFFFFFF`), as required
-    /// by the RoCEv2 iCRC.
-    pub fn ieee() -> Self {
-        Self::new(CRC32_IEEE, 0xFFFF_FFFF, 0xFFFF_FFFF)
-    }
-
-    /// CRC-32C (Castagnoli).
-    pub fn castagnoli() -> Self {
-        Self::new(CRC32_CASTAGNOLI, 0xFFFF_FFFF, 0xFFFF_FFFF)
-    }
-
-    /// CRC-32K (Koopman).
-    pub fn koopman() -> Self {
-        Self::new(CRC32_KOOPMAN, 0xFFFF_FFFF, 0xFFFF_FFFF)
-    }
-
-    /// CRC-32Q.
-    pub fn q() -> Self {
-        Self::new(CRC32_Q, 0xFFFF_FFFF, 0xFFFF_FFFF)
-    }
-
     /// Begin an incremental computation.
+    #[inline]
     pub fn digest(&self) -> Digest32<'_> {
         Digest32 {
             crc: self.init,
@@ -95,6 +113,7 @@ impl Crc32 {
     }
 
     /// One-shot checksum of `data`.
+    #[inline]
     pub fn checksum(&self, data: &[u8]) -> u32 {
         let mut d = self.digest();
         d.update(data);
@@ -110,23 +129,53 @@ pub struct Digest32<'a> {
 }
 
 impl Digest32<'_> {
-    /// Feed more bytes.
+    /// Fold one byte.
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        let idx = ((self.crc ^ u32::from(b)) & 0xFF) as usize;
+        self.crc = (self.crc >> 8) ^ self.engine.tables[0][idx];
+    }
+
+    /// Fold eight bytes in one step.
+    #[inline]
+    fn word(&mut self, chunk: [u8; 8]) {
+        let t = &self.engine.tables;
+        let lo = self.crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        self.crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+
+    /// Feed more bytes: eight per step, then the tail one at a time.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            let idx = ((self.crc ^ u32::from(b)) & 0xFF) as usize;
-            self.crc = (self.crc >> 8) ^ self.engine.table[idx];
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.word(chunk.try_into().unwrap());
+        }
+        for &b in chunks.remainder() {
+            self.byte(b);
         }
     }
 
     /// Feed `count` copies of a byte (used for iCRC masking).
     pub fn update_repeated(&mut self, byte: u8, count: usize) {
-        for _ in 0..count {
-            let idx = ((self.crc ^ u32::from(byte)) & 0xFF) as usize;
-            self.crc = (self.crc >> 8) ^ self.engine.table[idx];
+        for _ in 0..count / 8 {
+            self.word([byte; 8]);
+        }
+        for _ in 0..count % 8 {
+            self.byte(byte);
         }
     }
 
     /// Finish and return the checksum.
+    #[inline]
     pub fn finalize(self) -> u32 {
         self.crc ^ self.engine.xorout
     }
@@ -135,9 +184,9 @@ impl Digest32<'_> {
 /// A reflected, table-driven 16-bit CRC engine.
 ///
 /// ```
-/// use dta_wire::crc::Crc16;
+/// use dta_wire::crc;
 /// // CRC-16/ARC of "123456789" is the classic check value 0xBB3D.
-/// assert_eq!(Crc16::arc().checksum(b"123456789"), 0xBB3D);
+/// assert_eq!(crc::ARC.checksum(b"123456789"), 0xBB3D);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Crc16 {
@@ -147,19 +196,24 @@ pub struct Crc16 {
 }
 
 impl Crc16 {
-    /// Build an engine for an arbitrary reflected polynomial.
-    pub fn new(poly_reflected: u16, init: u16, xorout: u16) -> Self {
+    /// Build an engine for an arbitrary reflected polynomial. The common
+    /// polynomials are shared statics ([`ARC`], [`KERMIT`]).
+    pub const fn new(poly_reflected: u16, init: u16, xorout: u16) -> Self {
         let mut table = [0u16; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+        let mut i = 0;
+        while i < 256 {
             let mut crc = i as u16;
-            for _ in 0..8 {
+            let mut bit = 0;
+            while bit < 8 {
                 crc = if crc & 1 != 0 {
                     (crc >> 1) ^ poly_reflected
                 } else {
                     crc >> 1
                 };
+                bit += 1;
             }
-            *entry = crc;
+            table[i] = crc;
+            i += 1;
         }
         Crc16 {
             table,
@@ -168,24 +222,45 @@ impl Crc16 {
         }
     }
 
-    /// CRC-16/ARC (`init = 0`, `xorout = 0`).
-    pub fn arc() -> Self {
-        Self::new(CRC16_ARC, 0, 0)
-    }
-
-    /// CRC-16/KERMIT (CCITT, `init = 0`, `xorout = 0`).
-    pub fn kermit() -> Self {
-        Self::new(CRC16_CCITT, 0, 0)
+    /// Begin an incremental computation.
+    #[inline]
+    pub fn digest(&self) -> Digest16<'_> {
+        Digest16 {
+            crc: self.init,
+            engine: self,
+        }
     }
 
     /// One-shot checksum of `data`.
+    #[inline]
     pub fn checksum(&self, data: &[u8]) -> u16 {
-        let mut crc = self.init;
+        let mut d = self.digest();
+        d.update(data);
+        d.finalize()
+    }
+}
+
+/// Incremental state for [`Crc16`].
+#[derive(Debug, Clone)]
+pub struct Digest16<'a> {
+    crc: u16,
+    engine: &'a Crc16,
+}
+
+impl Digest16<'_> {
+    /// Feed more bytes.
+    #[inline]
+    pub fn update(&mut self, data: &[u8]) {
         for &b in data {
-            let idx = ((crc ^ u16::from(b)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ self.table[idx];
+            let idx = ((self.crc ^ u16::from(b)) & 0xFF) as usize;
+            self.crc = (self.crc >> 8) ^ self.engine.table[idx];
         }
-        crc ^ self.xorout
+    }
+
+    /// Finish and return the checksum.
+    #[inline]
+    pub fn finalize(self) -> u16 {
+        self.crc ^ self.engine.xorout
     }
 }
 
@@ -195,27 +270,27 @@ mod tests {
 
     #[test]
     fn crc32_ieee_check_value() {
-        assert_eq!(Crc32::ieee().checksum(b"123456789"), 0xCBF4_3926);
+        assert_eq!(IEEE.checksum(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
     fn crc32_castagnoli_check_value() {
-        assert_eq!(Crc32::castagnoli().checksum(b"123456789"), 0xE306_9283);
+        assert_eq!(CASTAGNOLI.checksum(b"123456789"), 0xE306_9283);
     }
 
     #[test]
     fn crc16_arc_check_value() {
-        assert_eq!(Crc16::arc().checksum(b"123456789"), 0xBB3D);
+        assert_eq!(ARC.checksum(b"123456789"), 0xBB3D);
     }
 
     #[test]
     fn crc16_kermit_check_value() {
-        assert_eq!(Crc16::kermit().checksum(b"123456789"), 0x2189);
+        assert_eq!(KERMIT.checksum(b"123456789"), 0x2189);
     }
 
     #[test]
     fn incremental_matches_oneshot() {
-        let engine = Crc32::ieee();
+        let engine = &IEEE;
         let data = b"direct telemetry access";
         let mut d = engine.digest();
         d.update(&data[..7]);
@@ -225,7 +300,7 @@ mod tests {
 
     #[test]
     fn update_repeated_matches_update() {
-        let engine = Crc32::ieee();
+        let engine = &IEEE;
         let mut a = engine.digest();
         a.update_repeated(0xFF, 8);
         let mut b = engine.digest();
@@ -234,15 +309,35 @@ mod tests {
     }
 
     #[test]
+    fn runtime_engine_matches_static() {
+        let engine = Crc32::new(CRC32_Q, 0xFFFF_FFFF, 0xFFFF_FFFF);
+        let data = b"a runtime table equals the compile-time one";
+        assert_eq!(engine.checksum(data), Q.checksum(data));
+        assert_eq!(
+            Crc16::new(CRC16_ARC, 0, 0).checksum(data),
+            ARC.checksum(data)
+        );
+    }
+
+    #[test]
+    fn crc16_incremental_matches_oneshot() {
+        let data = b"direct telemetry access";
+        let mut d = ARC.digest();
+        d.update(&data[..1]);
+        d.update(&data[1..]);
+        assert_eq!(d.finalize(), ARC.checksum(data));
+    }
+
+    #[test]
     fn empty_input() {
         // init ^ xorout for IEEE => 0.
-        assert_eq!(Crc32::ieee().checksum(&[]), 0);
-        assert_eq!(Crc16::arc().checksum(&[]), 0);
+        assert_eq!(IEEE.checksum(&[]), 0);
+        assert_eq!(ARC.checksum(&[]), 0);
     }
 
     #[test]
     fn crc_differs_on_single_bit_flip() {
-        let engine = Crc32::ieee();
+        let engine = &IEEE;
         let mut data = *b"telemetry report";
         let base = engine.checksum(&data);
         data[3] ^= 0x01;

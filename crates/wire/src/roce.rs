@@ -25,7 +25,7 @@
 //! validates it before DMA; both sides share this implementation so the
 //! check is bit-exact end to end.
 
-use crate::crc::Crc32;
+use crate::crc;
 use crate::field::Field;
 use crate::{ipv4, udp, Error, Result};
 
@@ -703,8 +703,7 @@ pub mod icrc {
         assert!(udp_header.len() >= udp::HEADER_LEN, "short UDP header");
         assert!(ib_packet.len() >= BTH_LEN, "short IB packet");
 
-        let engine = Crc32::ieee();
-        let mut digest = engine.digest();
+        let mut digest = crc::IEEE.digest();
 
         // Masked LRH stand-in.
         digest.update_repeated(0xFF, 8);

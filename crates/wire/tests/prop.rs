@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use dta_wire::crc;
 use dta_wire::dart::{ChecksumWidth, MultiWriteRepr, SlotLayout};
 use dta_wire::int::{HopMetadata, IntStack, MAX_HOPS};
 use dta_wire::roce::{
@@ -305,15 +306,90 @@ proptest! {
         prop_assert_eq!(parsed, repr);
     }
 
+    /// Slice-by-8 digests, one-shot or fed in three arbitrary pieces,
+    /// agree with the bitwise definition for every polynomial in use.
     #[test]
-    fn crc32_incremental_equals_oneshot(data in proptest::collection::vec(any::<u8>(), 0..256),
-                                        split in 0usize..256) {
-        let engine = dta_wire::crc::Crc32::ieee();
-        let split = split.min(data.len());
+    fn crc32_incremental_equals_oneshot(
+        engine in 0usize..4,
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        a in 0usize..256,
+        b in 0usize..256,
+    ) {
+        let (engine, poly) = CRC32_ENGINES[engine];
+        let a = a.min(data.len());
+        let b = b.clamp(a, data.len());
         let mut digest = engine.digest();
-        digest.update(&data[..split]);
-        digest.update(&data[split..]);
-        prop_assert_eq!(digest.finalize(), engine.checksum(&data));
+        digest.update(&data[..a]);
+        digest.update(&data[a..b]);
+        digest.update(&data[b..]);
+        let want = crc32_reference(poly, &data);
+        prop_assert_eq!(engine.checksum(&data), want);
+        prop_assert_eq!(digest.finalize(), want);
+    }
+
+    /// `update_repeated` is the same as feeding the repeated bytes,
+    /// wherever it falls relative to the eight-byte steps.
+    #[test]
+    fn crc32_update_repeated_matches_reference(
+        engine in 0usize..4,
+        prefix in proptest::collection::vec(any::<u8>(), 0..24),
+        byte in any::<u8>(),
+        count in 0usize..64,
+        suffix in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let (engine, poly) = CRC32_ENGINES[engine];
+        let mut digest = engine.digest();
+        digest.update(&prefix);
+        digest.update_repeated(byte, count);
+        digest.update(&suffix);
+        let mut flat = prefix.clone();
+        flat.extend(std::iter::repeat(byte).take(count));
+        flat.extend_from_slice(&suffix);
+        prop_assert_eq!(digest.finalize(), crc32_reference(poly, &flat));
+    }
+}
+
+/// The shared CRC-32 engines with their reflected polynomials. All use
+/// `init = xorout = 0xFFFFFFFF`.
+const CRC32_ENGINES: [(&crc::Crc32, u32); 4] = [
+    (&crc::IEEE, crc::CRC32_IEEE),
+    (&crc::CASTAGNOLI, crc::CRC32_CASTAGNOLI),
+    (&crc::KOOPMAN, crc::CRC32_KOOPMAN),
+    (&crc::Q, crc::CRC32_Q),
+];
+
+/// The reflected CRC-32 computed from its definition, one bit at a time
+/// with no tables.
+fn crc32_reference(poly: u32, data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ poly
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// Every length from 0 to 256 bytes: each possible tail after the
+/// eight-byte steps, over many step counts.
+#[test]
+fn crc32_slice_by_8_matches_reference_at_every_length() {
+    let data: Vec<u8> = (0u32..256)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect();
+    for &(engine, poly) in &CRC32_ENGINES {
+        for len in 0..=data.len() {
+            assert_eq!(
+                engine.checksum(&data[..len]),
+                crc32_reference(poly, &data[..len]),
+                "poly {poly:#010x}, length {len}"
+            );
+        }
     }
 }
 
